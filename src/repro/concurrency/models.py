@@ -20,6 +20,7 @@ Correctness obligations shared by every model (paper section 4.4):
 from __future__ import annotations
 
 import threading
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Deque, Dict, Tuple
@@ -54,15 +55,31 @@ class ConcurrencyModel(ABC):
             return self.dispatched - self.processed
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every dispatched event has been processed."""
-        self._pre_drain()
-        with self._idle:
-            return self._idle.wait_for(
-                lambda: self.processed == self.dispatched, timeout
-            )
+        """Wait until every dispatched event has been processed.
+
+        Buffered events are flushed until quiescent: events dispatched
+        while a flushed batch runs are buffered again and flushed in turn.
+        Returns ``False`` if ``timeout`` seconds pass first.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            self._pre_drain()
+            with self._idle:
+                self._idle.wait_for(
+                    lambda: self.processed == self.dispatched or self._buffered(),
+                    max(0.0, deadline - time.monotonic()),
+                )
+                if self.processed == self.dispatched:
+                    return True
+            if time.monotonic() >= deadline:
+                return False
 
     def _pre_drain(self) -> None:
         """Hook for models that buffer events (flush before waiting)."""
+
+    def _buffered(self) -> bool:
+        """Whether events wait in a buffer that only ``_pre_drain`` flushes."""
+        return False
 
     def _run(self, unit: Any, event: Event) -> None:
         """Process one event under the unit's critical section."""
@@ -156,26 +173,36 @@ class ThreadPerNMessages(ThreadPerMessage):
         with self._pending_lock:
             _unit, batch = self._pending.setdefault(id(unit), (unit, deque()))
             batch.append(event)
-            if len(batch) < self.n:
-                return
-            del self._pending[id(unit)]
-        self._spawn_batch(unit, batch)
+            if len(batch) >= self.n:
+                del self._pending[id(unit)]
+                self._spawn_batch(unit, batch)
 
     def _pre_drain(self) -> None:
         with self._pending_lock:
-            flushing = list(self._pending.values())
+            for unit, batch in self._pending.values():
+                self._spawn_batch(unit, batch)
             self._pending.clear()
-        for unit, batch in flushing:
-            self._spawn_batch(unit, batch)
+
+    def _buffered(self) -> bool:
+        return bool(self._pending)
 
     def _spawn_batch(self, unit: Any, batch: Deque[Event]) -> None:
+        # Called under ``_pending_lock``.  Batches queue per unit like single
+        # events in the base model, so they run in dispatch order whichever
+        # shepherd the OS wakes first.
         with self._registry_lock:
+            queue = self._queues.setdefault(id(unit), deque())
             order_lock = self._order_locks.setdefault(id(unit), threading.Lock())
+        queue.append(batch)
 
         def shepherd() -> None:
             with order_lock:
-                for event in batch:
+                for event in queue.popleft():
                     self._run(unit, event)
+            # Events this batch dispatched may sit in partial batches: let a
+            # waiting ``drain`` look again.
+            with self._idle:
+                self._idle.notify_all()
 
         threading.Thread(target=shepherd, daemon=True).start()
 

@@ -106,6 +106,10 @@ class SysState(Component):
     def replace_all(self, routes, proto: Optional[str] = None) -> None:
         self.node.kernel_table.replace_all(routes, proto)
 
+    def apply_delta(self, proto: str, routes, changed) -> None:
+        """Rewrite only ``changed`` destinations of ``proto``'s table."""
+        self.node.kernel_table.apply_delta(proto, routes, changed)
+
     def kernel_version(self) -> int:
         """Monotonic kernel-table mutation counter.
 

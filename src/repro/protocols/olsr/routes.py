@@ -26,7 +26,10 @@ Two regimes:
 
 The kernel table is rewritten only when the route set changed or another
 writer touched the table since our last install — a no-op install is a
-version check, not an O(routes) replace.
+version check, not an O(routes) replace.  An incremental repair whose
+table is still exactly what we last wrote rewrites only the destinations
+the repair rerouted (:meth:`KernelRoutingTable.apply_delta`); every other
+write replaces the whole OLSR-owned table.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class RouteCalculator(Component):
         self.fallbacks = 0
         #: kernel-table writes skipped because nothing changed.
         self.kernel_skips = 0
+        #: kernel-table writes that rewrote only the rerouted destinations.
+        self.kernel_delta_writes = 0
         self._cache_key: Optional[tuple] = None
         self._cached_routes: Optional[Dict[int, Tuple[int, int]]] = None
         self._engine: Optional[IncrementalSpt] = None
@@ -275,8 +280,10 @@ class RouteCalculator(Component):
         self._last_nhood_version = nhood_version
         self._last_topo_version = topo_version
 
-        routes = self._engine.routes
-        count = self._finish_install(routes, changed)
+        # ``engine.changed`` is ``None`` after a full or fallback rebuild, so
+        # only an incremental repair can take the delta write.
+        engine = self._engine
+        count = self._finish_install(engine.routes, changed, engine.changed)
 
         counters = self._observability()
         if counters is not None:
@@ -318,13 +325,26 @@ class RouteCalculator(Component):
         return self._finish_install(routes, changed)
 
     def _finish_install(
-        self, routes: Dict[int, Tuple[int, int]], changed: bool
+        self,
+        routes: Dict[int, Tuple[int, int]],
+        changed: bool,
+        rerouted: Optional[Set[int]] = None,
     ) -> int:
-        """Write the kernel table (unless provably redundant) + the mirror."""
+        """Write the kernel table (unless provably redundant) + the mirror.
+
+        ``rerouted`` names every destination whose route differs from the
+        previous install; when the table is still our last write, only
+        those are rewritten.
+        """
         cf = self.cf
         sys_state = cf.sys_state()
         kernel_version = sys_state.kernel_version()
-        if changed or self._last_kernel_version != kernel_version:
+        own_table = self._last_kernel_version == kernel_version
+        if changed and own_table and rerouted is not None:
+            sys_state.apply_delta(cf.name, routes, rerouted)
+            self._last_kernel_version = sys_state.kernel_version()
+            self.kernel_delta_writes += 1
+        elif changed or not own_table:
             kernel_routes = [
                 KernelRoute(destination, next_hop, metric=hops)
                 for destination, (next_hop, hops) in sorted(routes.items())

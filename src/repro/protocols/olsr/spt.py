@@ -52,7 +52,9 @@ class SptInconsistency(ValueError):
 class IncrementalSpt:
     """Dynamic single-source shortest-path tree on a unit-weight digraph."""
 
-    __slots__ = ("root", "_ref", "_succ", "_pred", "dist", "fhop", "routes")
+    __slots__ = (
+        "root", "_ref", "_succ", "_pred", "dist", "fhop", "routes", "changed",
+    )
 
     def __init__(self, root: int) -> None:
         self.root = root
@@ -67,6 +69,9 @@ class IncrementalSpt:
         #: the installable view: dest -> (first hop, hop count).  Mutated in
         #: place so long-lived aliases (the OLSR route mirror) stay current.
         self.routes: Dict[int, Tuple[int, int]] = {}
+        #: destinations whose ``routes`` entry the last batch set or
+        #: removed; ``None`` after a full (re)build, meaning "everything".
+        self.changed: Optional[Set[int]] = None
 
     # -- full (re)build -----------------------------------------------------
 
@@ -86,6 +91,7 @@ class IncrementalSpt:
 
     def _recompute(self) -> bool:
         """Full BFS for dist + per-level recurrence for fhop."""
+        self.changed = None
         root = self.root
         succ = self._succ
         dist: Dict[int, int] = {root: 0}
@@ -141,6 +147,8 @@ class IncrementalSpt:
             delta[edge] = delta.get(edge, 0) - 1
         real_added: List[Edge] = []
         real_removed: List[Edge] = []
+        rerouted: Set[int] = set()
+        self.changed = rerouted
         ref = self._ref
         for edge, count in delta.items():
             if count == 0:
@@ -233,14 +241,13 @@ class IncrementalSpt:
                 if dw is None or dw > d + 1:
                     heapq.heappush(heap, (d + 1, w))
 
-        changed = False
         routes = self.routes
         fhop = self.fhop
         dropped = affected - resettled
         for v in dropped:
             fhop.pop(v, None)
             if routes.pop(v, None) is not None:
-                changed = True
+                rerouted.add(v)
 
         # Phase 3 — first-hop repair, bucketed by ascending distance (the
         # recurrence for level d reads only level d-1).  Seeds: every vertex
@@ -283,17 +290,17 @@ class IncrementalSpt:
                     del dist[v]
                     fhop.pop(v, None)
                     if routes.pop(v, None) is not None:
-                        changed = True
+                        rerouted.add(v)
                     continue
                 entry = (best, d)
                 if fhop.get(v) != best:
                     fhop[v] = best
                     routes[v] = entry
-                    changed = True
+                    rerouted.add(v)
                     for w in succ.get(v, ()):
                         if w != root and dist.get(w) == d + 1:
                             fbuckets.setdefault(d + 1, set()).add(w)
                 elif routes.get(v) != entry:
                     routes[v] = entry
-                    changed = True
-        return changed
+                    rerouted.add(v)
+        return bool(rerouted)

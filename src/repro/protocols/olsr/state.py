@@ -96,10 +96,12 @@ class OlsrState(StateComponent):
             return []
         if version < self._journal_floor or version > self.topology_version:
             return None
+        # Journal versions run consecutively from floor + 1, so the first
+        # entry past ``version`` sits at a known index: no scan needed.
+        journal = self._journal
         return [
-            (added, removed)
-            for entry_version, added, removed in self._journal
-            if entry_version > version
+            journal[index][1:]
+            for index in range(version - self._journal_floor, len(journal))
         ]
 
     # -- ANSN --------------------------------------------------------------

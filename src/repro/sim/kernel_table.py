@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 _packet_ids = itertools.count(1)
 
@@ -259,6 +259,50 @@ class KernelRoutingTable:
             tracer.event(
                 "kernel.replace_all", node=self.node_id,
                 proto=proto or "*", routes=len(routes),
+                added=added, removed=removed,
+            )
+
+    def apply_delta(
+        self,
+        proto: str,
+        routes: Dict[int, Tuple[int, int]],
+        changed: Iterable[int],
+    ) -> None:
+        """Bring ``proto``'s host routes up to date for ``changed`` only.
+
+        ``routes`` is the protocol's full table (destination -> (next hop,
+        metric)); the caller guarantees that every destination outside
+        ``changed`` already holds exactly that entry, so the result equals
+        ``replace_all`` of the whole table at O(changed) cost.  A changed
+        destination absent from ``routes`` is deleted only while ``proto``
+        owns it.  The version bumps once and the traced record is the one
+        ``replace_all`` would have emitted.
+        """
+        tracer = self._tracer()
+        table = self._routes
+        added = []
+        removed = []
+        for destination in changed:
+            old = table.get(destination)
+            entry = routes.get(destination)
+            if entry is None:
+                if old is not None and old.proto == proto:
+                    del table[destination]
+                    removed.append(destination)
+                continue
+            next_hop, metric = entry
+            table[destination] = KernelRoute(
+                destination, next_hop, metric, proto=proto
+            )
+            if old is None or old.next_hop != next_hop:
+                added.append((destination, next_hop))
+        self.version += 1
+        if tracer is not None:
+            added.sort()
+            removed.sort()
+            tracer.event(
+                "kernel.replace_all", node=self.node_id,
+                proto=proto, routes=len(routes),
                 added=added, removed=removed,
             )
 

@@ -87,13 +87,17 @@ class Simulation:
         self.topology = TopologyController(self.medium, latency=latency, loss=loss)
         self._nodes: Dict[int, SimNode] = {}
         self._next_id = itertools.count(1)
-        self._drain_hooks: List[Callable[[], None]] = []
+        self._drain_hooks: List[Callable[[], Optional[bool]]] = []
         self.flows: List[CBRFlow] = []
         #: Sticky: set once any run loop trips its ``max_events`` cap with
         #: work still queued.  Surfaced per shard in merged sharded
         #: summaries so a silently capped shard cannot masquerade as a
         #: complete run.
         self.truncated = False
+        #: Sticky count of drain hooks that returned ``False``: a threaded
+        #: concurrency model timed out with events still in flight, so the
+        #: run went on without reaching quiescence.
+        self.drain_timeouts = 0
 
     # -- node management -----------------------------------------------------
 
@@ -196,12 +200,14 @@ class Simulation:
 
     # -- drain hooks (determinism under threaded concurrency models) ----------
 
-    def add_drain_hook(self, hook: Callable[[], None]) -> None:
+    def add_drain_hook(self, hook: Callable[[], Optional[bool]]) -> None:
+        """Run ``hook`` after every event; a ``False`` return is a timeout."""
         self._drain_hooks.append(hook)
 
     def _drain(self) -> None:
         for hook in self._drain_hooks:
-            hook()
+            if hook() is False:
+                self.drain_timeouts += 1
 
     # -- running ------------------------------------------------------------------
 

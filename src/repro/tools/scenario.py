@@ -506,6 +506,7 @@ def execute_scenario(args: argparse.Namespace) -> ScenarioArtifacts:
         "sim_time_s": sim.now,
         "events_executed": executed,
         "truncated": sim.truncated,
+        "drain_timeouts": sim.drain_timeouts,
         "flows": [
             {
                 "src": src, "dst": dst, "interval": interval,
@@ -610,6 +611,9 @@ def _print_report(args: argparse.Namespace, artifacts: ScenarioArtifacts) -> Non
     else:
         print("latency: no packets delivered")
     print(f"overall delivery ratio: {result['delivery_ratio']:.0%}")
+    if result["drain_timeouts"]:
+        print(f"WARNING: {result['drain_timeouts']} drain timeouts "
+              "(events still in flight)", file=sys.stderr)
 
     if artifacts.injector is not None:
         print(f"\nfaults applied ({len(result['faults'])}):")

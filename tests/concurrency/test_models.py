@@ -5,6 +5,7 @@ obligations — atomic handlers, per-unit FIFO order, drainability — must
 hold under real parallelism.
 """
 
+import sys
 import threading
 import time
 
@@ -176,6 +177,74 @@ class TestModelSpecifics:
             model.dispatch(unit, event)
         assert model.drain(timeout=5.0)
         assert len(unit.seen) == 4
+        model.shutdown()
+
+    def test_thread_per_n_drain_flushes_cascades_until_quiescent(self):
+        # Each handled event dispatches a follow-up to the next unit in a
+        # chain; those land in fresh partial batches while the flushed
+        # batch runs, and drain must flush them too instead of timing out.
+        model = ThreadPerNMessages(n=10)
+
+        class Relay(Unit):
+            def __init__(self, name, downstream):
+                super().__init__(name)
+                self.downstream = downstream
+
+            def process_event(self, event):
+                super().process_event(event)
+                if self.downstream is not None:
+                    model.dispatch(self.downstream, Event(ETYPE))
+
+        head = None
+        for i in range(5):
+            head = Relay(f"u{i}", head)
+        for event in events(3):
+            model.dispatch(head, event)
+        started = time.monotonic()
+        assert model.drain(timeout=5.0)
+        assert time.monotonic() - started < 2.0
+        assert model.in_flight == 0
+        assert model.dispatched == 3 * 5
+        model.shutdown()
+
+    def test_thread_per_n_cascade_stress_keeps_fifo(self):
+        # More shepherds than cores, frequent thread switches: every relay
+        # forwards what it handled downstream, and each unit must see its
+        # events in dispatch order with drain ending quiescent.
+        model = ThreadPerNMessages(n=3)
+        sinks = [Unit(f"sink{i}") for i in range(4)]
+
+        class Fan(Unit):
+            def process_event(self, event):
+                super().process_event(event)
+                model.dispatch(sinks[event.event_id % len(sinks)], event)
+
+        fans = [Fan(f"fan{i}") for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sent = events(200)
+            for event in sent:
+                model.dispatch(fans[event.event_id % len(fans)], event)
+            assert model.drain(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        for index, fan in enumerate(fans):
+            assert fan.seen == [
+                e.event_id for e in sent if e.event_id % len(fans) == index
+            ]
+        for index, sink in enumerate(sinks):
+            assert sorted(sink.seen) == sorted(
+                e.event_id for e in sent if e.event_id % len(sinks) == index
+            )
+        assert model.in_flight == 0
+        model.shutdown()
+
+    def test_drain_timeout_returns_false(self):
+        model = ThreadPerMessage()
+        model.dispatch(Unit(delay=0.5), Event(ETYPE))
+        assert not model.drain(timeout=0.05)
+        assert model.drain(timeout=5.0)
         model.shutdown()
 
     def test_thread_per_n_invalid(self):

@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,13 +22,24 @@ EXPECTED_MARKERS = {
 }
 
 
+#: Wall budgets (seconds) for examples whose cost is CPU work, so a run
+#: that sleeps in a drain timeout (10 s each) shows up as a failure.
+WALL_BUDGET_S = {
+    "concurrency_models.py": 60.0,
+}
+
+
 @pytest.mark.parametrize("script", sorted(EXPECTED_MARKERS))
 def test_example_runs(script):
+    started = time.monotonic()
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / script)],
         capture_output=True,
         text=True,
         timeout=300,
     )
+    elapsed = time.monotonic() - started
     assert result.returncode == 0, result.stderr[-2000:]
     assert EXPECTED_MARKERS[script] in result.stdout
+    budget = WALL_BUDGET_S.get(script)
+    assert budget is None or elapsed < budget, f"{script} took {elapsed:.1f} s"

@@ -6,6 +6,8 @@ conditions change, variant hot-swaps under live traffic, and resilience to
 mobility and loss.
 """
 
+import time
+
 import pytest
 
 from repro.core import ManetKit
@@ -212,6 +214,7 @@ class TestConcurrencyModelsInSimulation:
                   "thread-per-protocol"]
     )
     def test_dymo_correct_under_threaded_models(self, model):
+        started = time.monotonic()
         sim, ids, kits = make_network(4, seed=106)
         for kit in kits.values():
             kit.load_protocol("dymo")
@@ -225,6 +228,10 @@ class TestConcurrencyModelsInSimulation:
         assert len(got) == 1
         for kit in kits.values():
             kit.manager.shutdown()
+        # Every drain reached quiescence; a sleeping drain would also blow
+        # the generous wall budget (one timeout alone is 10 s).
+        assert sim.drain_timeouts == 0
+        assert time.monotonic() - started < 60.0
 
     def test_dedicated_thread_protocol(self):
         sim, ids, kits = make_network(3, seed=107)

@@ -87,6 +87,19 @@ class TestConvergence:
                 assert kernel.next_hop == next_hop
                 assert kernel.metric == hops
 
+    def test_incremental_installs_write_kernel_deltas(self):
+        sim, ids, kits, _ = build(topology.linear_chain, 5, settle=10.0)
+        for node_id in ids:
+            kit = kits[node_id]
+            calc = kit.protocol("olsr").route_calculator
+            # Convergence reroutes incrementally; those writes are deltas.
+            assert 0 < calc.kernel_delta_writes <= calc.incremental_updates
+            kernel = {
+                route.destination: (route.next_hop, route.metric)
+                for route in kit.node.kernel_table.routes()
+            }
+            assert kernel == kit.protocol("olsr").routing_table()
+
     def test_data_delivery_end_to_end(self):
         sim, ids, kits, _ = build(topology.linear_chain, 5, settle=10.0)
         got = []
@@ -179,6 +192,80 @@ class TestOlsrStateUnit:
         assert fresh.topology_edges() == state.topology_edges()
         assert fresh.ansn == 3
         assert fresh.routes == {1: (2, 2)}
+
+
+
+class TestTopologyJournal:
+    """Edge cases of the delta journal that incremental route repair reads."""
+
+    @staticmethod
+    def bumped(count):
+        """A state whose topology version moved ``count`` times, one edge each."""
+        state = OlsrState()
+        for i in range(count):
+            state.record_topology(5, [100 + i], ansn=i + 1, expiry=1e9)
+        assert state.topology_version == count
+        return state
+
+    @staticmethod
+    def assert_consecutive(state):
+        versions = [entry[0] for entry in state._journal]
+        assert versions == list(
+            range(state._journal_floor + 1, state.topology_version + 1)
+        )
+
+    def test_current_version_is_empty(self):
+        state = self.bumped(3)
+        assert state.topology_deltas_since(3) == []
+
+    def test_floor_returns_whole_journal(self):
+        state = self.bumped(3)
+        deltas = state.topology_deltas_since(state._journal_floor)
+        assert deltas == [entry[1:] for entry in state._journal]
+        assert deltas[0] == (((5, 100),), ())
+        assert deltas[2] == (((5, 102),), ((5, 101),))
+
+    def test_slice_starts_after_version(self):
+        state = self.bumped(4)
+        assert state.topology_deltas_since(2) == [
+            (((5, 102),), ((5, 101),)),
+            (((5, 103),), ((5, 102),)),
+        ]
+
+    def test_out_of_range_is_none(self):
+        state = self.bumped(3)
+        assert state.topology_deltas_since(4) is None
+        state = self.bumped(OlsrState.JOURNAL_LIMIT + 1)
+        assert state.topology_deltas_since(state._journal_floor - 1) is None
+
+    def test_invalidation_cuts_off_consumers(self):
+        state = self.bumped(3)
+        state._invalidate_journal()
+        for version in range(4):
+            assert state.topology_deltas_since(version) is None
+        assert state.topology_deltas_since(state.topology_version) == []
+        state.record_topology(6, [7], ansn=1, expiry=1e9)
+        self.assert_consecutive(state)
+        assert state.topology_deltas_since(4) == [(((6, 7),), ())]
+
+    def test_overflow_moves_floor(self):
+        limit = OlsrState.JOURNAL_LIMIT
+        state = self.bumped(limit)
+        assert state._journal_floor == 0
+        assert state.topology_deltas_since(0) is not None
+        state.record_topology(5, [100 + limit], ansn=limit + 1, expiry=1e9)
+        assert state._journal_floor == 1
+        assert len(state._journal) == limit
+        assert state.topology_deltas_since(0) is None
+        assert len(state.topology_deltas_since(1)) == limit
+        self.assert_consecutive(state)
+
+    def test_versions_stay_consecutive(self):
+        state = self.bumped(OlsrState.JOURNAL_LIMIT + 10)
+        self.assert_consecutive(state)
+        state.purge_topology(2e9)
+        state.drop_originator(5)  # already empty: no bump
+        self.assert_consecutive(state)
 
 
 class TestFishEye:

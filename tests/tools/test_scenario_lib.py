@@ -95,8 +95,10 @@ class TestResultShape:
         json.dumps(result)  # strict JSON, no NaN
         for key in ("spec", "nodes", "flows", "delivery_ratio",
                     "control_frames", "control_bytes", "events_executed",
-                    "metrics"):
+                    "truncated", "drain_timeouts", "metrics"):
             assert key in result
+        assert result["truncated"] is False
+        assert result["drain_timeouts"] == 0
         assert result["nodes"] == 9
         assert result["delivery_ratio"] == 1.0
         assert result["flows"][0]["src"] == 1

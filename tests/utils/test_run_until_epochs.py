@@ -132,3 +132,26 @@ class TestTruncation:
         sim.run(1.0)
         assert sim.truncated is False
         assert sim.now == 1.0
+
+
+class TestDrainTimeouts:
+    def test_drain_hook_false_latches_timeout(self):
+        sim = Simulation()
+        verdicts = iter([True, False, True, True])
+        sim.add_drain_hook(lambda: next(verdicts))
+        for when in (0.1, 0.2, 0.3):
+            sim.scheduler.call_at(when, lambda: None)
+        sim.run(1.0)
+        assert sim.drain_timeouts == 1
+        # Sticky: a later clean drain does not clear it.
+        sim.scheduler.call_at(1.5, lambda: None)
+        sim.run(1.0)
+        assert sim.drain_timeouts == 1
+
+    def test_clean_drains_keep_count_at_zero(self):
+        sim = Simulation()
+        sim.add_drain_hook(lambda: True)
+        sim.add_drain_hook(lambda: None)  # hooks without a verdict count as clean
+        sim.scheduler.call_at(0.5, lambda: None)
+        sim.run(1.0)
+        assert sim.drain_timeouts == 0
