@@ -2,7 +2,7 @@
 
 Selected with ``pytest benchmarks -k "scale and not ladder"`` (per-PR CI)
 or ``-k scale_ladder`` (nightly); runs the scenarios used to size the
-event-pipeline refactor (indexed dispatch, timer wheel, batched broadcast
+event-pipeline refactor (indexed dispatch, batched broadcast
 delivery) and the incremental-route refactor (dynamic SPT repair, scoped
 MPR reselection, interned decode):
 
@@ -69,13 +69,6 @@ def _index_hit_ratio(sim):
     return hits / total if total else 0.0
 
 
-def _wheel_share(snapshot):
-    wheel = snapshot["timerwheel.wheel_scheduled"]
-    heap = snapshot["timerwheel.heap_scheduled"]
-    total = wheel + heap
-    return wheel / total if total else 0.0
-
-
 def _route_calc_totals(sim):
     """Summed route_calc.* install-mode counters across all nodes."""
     totals = {"incremental": 0, "full": 0, "fallback": 0, "noop": 0}
@@ -103,7 +96,6 @@ def _run_olsr_grid(nodes, duration):
 
 def _olsr_metrics(prefix, sim, ids, executed, wall):
     """The deterministic OLSR metric family, shared by gate and ladder."""
-    snapshot = sim.obs.registry.snapshot()["collected"]
     corner_routes = len(sim.node(ids[0]).kernel_table)
     modes = _route_calc_totals(sim)
     recomputes = modes["incremental"] + modes["full"] + modes["fallback"]
@@ -122,9 +114,6 @@ def _olsr_metrics(prefix, sim, ids, executed, wall):
         ),
         f"{prefix}.index_hit_ratio": BenchMetric(
             value=_index_hit_ratio(sim), unit="", direction="higher"
-        ),
-        f"{prefix}.wheel_share": BenchMetric(
-            value=_wheel_share(snapshot), unit="", direction="higher"
         ),
         f"{prefix}.corner_routes": BenchMetric(
             value=corner_routes, unit="routes", direction="higher"

@@ -36,6 +36,9 @@ class ConcurrencyModel(ABC):
         self.processed = 0
         self._stats_lock = threading.Lock()
         self._idle = threading.Condition(self._stats_lock)
+        #: Threads blocked in :meth:`drain` (guarded by ``_stats_lock``):
+        #: processing notifies ``_idle`` only while one is waiting.
+        self._waiters = 0
 
     # -- accounting shared by all models ------------------------------------
 
@@ -44,9 +47,9 @@ class ConcurrencyModel(ABC):
             self.dispatched += 1
 
     def _note_processed(self) -> None:
-        with self._idle:
+        with self._stats_lock:
             self.processed += 1
-            if self.processed == self.dispatched:
+            if self._waiters and self.processed == self.dispatched:
                 self._idle.notify_all()
 
     @property
@@ -65,10 +68,14 @@ class ConcurrencyModel(ABC):
         while True:
             self._pre_drain()
             with self._idle:
-                self._idle.wait_for(
-                    lambda: self.processed == self.dispatched or self._buffered(),
-                    max(0.0, deadline - time.monotonic()),
-                )
+                self._waiters += 1
+                try:
+                    self._idle.wait_for(
+                        lambda: self.processed == self.dispatched or self._buffered(),
+                        max(0.0, deadline - time.monotonic()),
+                    )
+                finally:
+                    self._waiters -= 1
                 if self.processed == self.dispatched:
                     return True
             if time.monotonic() >= deadline:
@@ -115,8 +122,19 @@ class SingleThreaded(ConcurrencyModel):
     """
 
     def dispatch(self, unit: Any, event: Event) -> None:
-        self._note_dispatched()
-        self._run(unit, event)
+        # The accounting of ``_note_dispatched`` / ``_run`` inlined: this
+        # is the per-delivery path of every simulation.
+        stats_lock = self._stats_lock
+        with stats_lock:
+            self.dispatched += 1
+        try:
+            with unit.lock:
+                unit.process_event(event)
+        finally:
+            with stats_lock:
+                self.processed += 1
+                if self._waiters and self.processed == self.dispatched:
+                    self._idle.notify_all()
 
 
 class ThreadPerMessage(ConcurrencyModel):
@@ -201,8 +219,9 @@ class ThreadPerNMessages(ThreadPerMessage):
                     self._run(unit, event)
             # Events this batch dispatched may sit in partial batches: let a
             # waiting ``drain`` look again.
-            with self._idle:
-                self._idle.notify_all()
+            with self._stats_lock:
+                if self._waiters:
+                    self._idle.notify_all()
 
         threading.Thread(target=shepherd, daemon=True).start()
 

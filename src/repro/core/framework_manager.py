@@ -264,17 +264,15 @@ class FrameworkManager(ComponentFramework):
             names = [consumer.name for consumer in targets]
             for observer in self._route_observers:
                 observer(source.name, event, names)
+        # Read per consumer: a handler may reconfigure the delivery model.
+        dedicated = self._dedicated
         for consumer in targets:
-            self._deliver(consumer, event)
+            if dedicated:
+                dedicated.get(consumer.name, self.model).dispatch(consumer, event)
+            else:
+                self.model.dispatch(consumer, event)
         # The concentrator taps context events regardless of protocol
         # interest — it is the facade higher-level decision software reads.
         if event.etype.is_a(self._context_root):
             self.concentrator.update(event)
         return len(targets)
-
-    def _deliver(self, unit: CFSUnit, event: Event) -> None:
-        dedicated = self._dedicated.get(unit.name)
-        if dedicated is not None:
-            dedicated.dispatch(unit, event)
-        else:
-            self.model.dispatch(unit, event)

@@ -112,13 +112,18 @@ class CFSUnit(ComponentFramework):
         deployment = self.deployment
         obs = None if deployment is None else getattr(deployment, "obs", None)
         if obs is None:
-            self.registry.dispatch(event)
+            profiler = tracer = None
+        else:
+            profiler = obs.profiler
+            tracer = obs.tracer
+        if profiler is None and (tracer is None or not tracer.enabled):
+            for handler in self.registry.handlers_for(event):
+                handler(event)
             return
-        profiler = obs.profiler
         if profiler is not None:
             profiler.push2("unit.process", self.name + "/" + event.etype.name)
         try:
-            if obs.tracer is not None and obs.tracer.enabled:
+            if tracer is not None and tracer.enabled:
                 # Imported lazily: repro.protocols pulls in the protocol
                 # registry, which imports this module at package-init time.
                 from repro.protocols.common import handler_timer

@@ -196,6 +196,24 @@ class TLVBlock:
                 return tlv
         return None
 
+    def find_for_indices(self, tlv_type: int, count: int) -> List[Optional[TLV]]:
+        """``find_for_index(tlv_type, i)`` for every ``i < count``, in one pass.
+
+        Each TLV of the type claims the still-unclaimed indices it covers,
+        so the first covering TLV wins, as in :meth:`find_for_index`; an
+        index-free TLV covers every remaining index and ends the pass.
+        """
+        found: List[Optional[TLV]] = [None] * count
+        for tlv in self.tlvs:
+            if tlv.tlv_type != tlv_type:
+                continue
+            if tlv.index_start is None:
+                return [tlv if hit is None else hit for hit in found]
+            for index in range(tlv.index_start, min(tlv.index_stop, count - 1) + 1):
+                if found[index] is None:
+                    found[index] = tlv
+        return found
+
     def __len__(self) -> int:
         return len(self.tlvs)
 

@@ -147,8 +147,8 @@ def parse_aodv_rerr(message: Message) -> List[Tuple[int, Optional[int]]]:
     if message.msg_type != int(MsgType.AODV_RERR) or not message.address_blocks:
         return []
     block = message.address_blocks[0]
-    out: List[Tuple[int, Optional[int]]] = []
-    for index, address in enumerate(block.addresses):
-        tlv = block.tlv_block.find_for_index(TlvType.DEST_SEQNUM, index)
-        out.append((address.node_id, tlv.as_int() if tlv else None))
-    return out
+    seq_tlvs = block.tlv_block.find_for_indices(TlvType.DEST_SEQNUM, len(block.addresses))
+    return [
+        (address.node_id, tlv.as_int() if tlv else None)
+        for address, tlv in zip(block.addresses, seq_tlvs)
+    ]

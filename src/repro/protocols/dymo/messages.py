@@ -136,16 +136,18 @@ def parse_re(message: Message) -> Optional[ReInfo]:
     if not target_block.addresses or not path_block.addresses:
         return None
     target_seq_tlv = target_block.tlv_block.find(TlvType.TARGET_SEQNUM)
-    path: List[PathEntry] = []
-    hop_offsets = {}
-    for index, address in enumerate(path_block.addresses):
-        seq_tlv = path_block.tlv_block.find_for_index(TlvType.ADDR_SEQNUM, index)
-        path.append((address.node_id, seq_tlv.as_int() if seq_tlv else 0))
-        offset_tlv = path_block.tlv_block.find_for_index(
-            TlvType.ADDR_HOPCOUNT, index
-        )
-        if offset_tlv is not None:
-            hop_offsets[index] = offset_tlv.as_int()
+    addresses = path_block.addresses
+    seq_tlvs = path_block.tlv_block.find_for_indices(TlvType.ADDR_SEQNUM, len(addresses))
+    offset_tlvs = path_block.tlv_block.find_for_indices(TlvType.ADDR_HOPCOUNT, len(addresses))
+    path: List[PathEntry] = [
+        (address.node_id, seq_tlv.as_int() if seq_tlv else 0)
+        for address, seq_tlv in zip(addresses, seq_tlvs)
+    ]
+    hop_offsets = {
+        index: offset_tlv.as_int()
+        for index, offset_tlv in enumerate(offset_tlvs)
+        if offset_tlv is not None
+    }
     return ReInfo(
         re_type=re_type_tlv.as_int(),
         target=target_block.addresses[0].node_id,
@@ -210,11 +212,11 @@ def parse_rerr(message: Message) -> List[Tuple[int, Optional[int]]]:
     if message.msg_type != int(MsgType.RERR) or not message.address_blocks:
         return []
     block = message.address_blocks[0]
-    out: List[Tuple[int, Optional[int]]] = []
-    for index, address in enumerate(block.addresses):
-        seq_tlv = block.tlv_block.find_for_index(TlvType.ADDR_SEQNUM, index)
-        out.append((address.node_id, seq_tlv.as_int() if seq_tlv else None))
-    return out
+    seq_tlvs = block.tlv_block.find_for_indices(TlvType.ADDR_SEQNUM, len(block.addresses))
+    return [
+        (address.node_id, seq_tlv.as_int() if seq_tlv else None)
+        for address, seq_tlv in zip(block.addresses, seq_tlvs)
+    ]
 
 
 def build_uerr(

@@ -68,7 +68,7 @@ class MprForward(ForwardComponent):
             return False
         state.note_message(originator, message.seqnum, now, message.msg_type)
         sender = event.source
-        if sender is None or sender not in state.active_selectors(now):
+        if sender is None or not state.is_selector(sender, now):
             self.suppressed_not_selected += 1
             return False
         if not message.forwardable:

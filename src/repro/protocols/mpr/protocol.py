@@ -215,7 +215,7 @@ class MprCF(ManetProtocol):
         return self.mpr_state.symmetric_neighbours(self.deployment.now)
 
     def is_selector(self, neighbour: int) -> bool:
-        return neighbour in self.mpr_state.active_selectors(self.deployment.now)
+        return self.mpr_state.is_selector(neighbour, self.deployment.now)
 
     def selectors(self) -> List[int]:
         return self.mpr_state.active_selectors(self.deployment.now)

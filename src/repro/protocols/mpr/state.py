@@ -132,6 +132,11 @@ class MprState(StateComponent):
     def active_selectors(self, now: float) -> List[int]:
         return sorted(n for n, until in self.selectors.items() if until > now)
 
+    def is_selector(self, neighbour: int, now: float) -> bool:
+        """Whether ``neighbour`` is in ``active_selectors(now)``, in O(1)."""
+        until = self.selectors.get(neighbour)
+        return until is not None and until > now
+
     def note_selector(self, neighbour: int, until: float) -> None:
         self.selectors[neighbour] = until
 

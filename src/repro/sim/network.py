@@ -185,10 +185,6 @@ class Simulation:
             "medium.frames_lost": float(self.medium.frames_lost),
             "medium.batches_scheduled": float(self.medium.batches_scheduled),
             "sched.events_executed": float(self.scheduler.executed_count),
-            "timerwheel.wheel_scheduled": float(self.scheduler.wheel_scheduled),
-            "timerwheel.heap_scheduled": float(self.scheduler.heap_scheduled),
-            "timerwheel.cancelled_purged": float(self.scheduler.cancelled_purged),
-            "timerwheel.heap_compactions": float(self.scheduler.heap_compactions),
             # Always-present so metric schemas don't depend on tracing.
             "trace.events": float(len(tracer.events)) if tracer else 0.0,
             "trace.dropped": float(tracer.dropped) if tracer else 0.0,

@@ -1,8 +1,9 @@
 """Golden-replay harness: frozen deterministic traces for the hot path.
 
-The event-path refactor (dispatch index, timer wheel, batched broadcast
-delivery) must be *behaviour-preserving*: a seeded run of the paper's
-5-node chain — protocol stack, fault plan, CBR traffic and all — has to
+The event-path refactors (dispatch index, scheduler queue, batched
+broadcast delivery) must be *behaviour-preserving*: a seeded run of the
+paper's 5-node chain — protocol stack, fault plan, CBR traffic and all —
+has to
 produce a byte-identical deterministic trace export before and after.
 This module pins that contract.  :func:`run_scenario` executes one
 (protocol, seed) cell and returns the deterministic JSONL bytes;

@@ -146,6 +146,79 @@ class TestModelSpecifics:
         model.dispatch(unit, event)
         assert unit.seen == [event.event_id]  # processed before return
 
+    def test_single_threaded_wakes_drain_waiting_on_another_thread(self):
+        # Processing notifies only when a drain() is waiting: a waiter
+        # that arrives while a handler runs must still be woken, not left
+        # to sleep out its timeout.
+        model = SingleThreaded()
+        release = threading.Event()
+
+        class Blocking(Unit):
+            def process_event(self, event):
+                release.wait(10.0)
+                super().process_event(event)
+
+        dispatcher = threading.Thread(
+            target=model.dispatch, args=(Blocking(), Event(ETYPE))
+        )
+        dispatcher.start()
+        result = {}
+
+        def waiter():
+            began = time.monotonic()
+            result["done"] = model.drain(timeout=30.0)
+            result["took"] = time.monotonic() - began
+
+        draining = threading.Thread(target=waiter)
+        draining.start()
+        deadline = time.monotonic() + 10.0
+        while model._waiters == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert model._waiters == 1
+        assert model.in_flight == 1
+        release.set()
+        draining.join(15.0)
+        dispatcher.join(15.0)
+        assert not draining.is_alive() and not dispatcher.is_alive()
+        assert result["done"] is True
+        assert result["took"] < 10.0
+        assert model.in_flight == 0 and model._waiters == 0
+
+    def test_single_threaded_accounting_under_concurrent_drains(self):
+        # More dispatching threads than cores, drains racing them, and a
+        # short switch interval: no increment may be lost and no drain
+        # may sleep out its timeout once the work is done.
+        model = SingleThreaded()
+        units = [Unit(name=f"u{i}") for i in range(4)]
+        per_thread = 300
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            dispatchers = [
+                threading.Thread(
+                    target=lambda unit=unit: [
+                        model.dispatch(unit, event) for event in events(per_thread)
+                    ]
+                )
+                for unit in units
+            ]
+            drained = []
+            drainers = [
+                threading.Thread(target=lambda: drained.append(model.drain(timeout=20.0)))
+                for _ in range(3)
+            ]
+            for thread in dispatchers + drainers:
+                thread.start()
+            for thread in dispatchers + drainers:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in dispatchers + drainers)
+        assert drained == [True, True, True]
+        assert model.dispatched == model.processed == per_thread * len(units)
+        assert all(len(unit.seen) == per_thread for unit in units)
+        assert model._waiters == 0
+
     def test_thread_per_message_parallel_across_units(self):
         model = ThreadPerMessage()
         slow_units = [Unit(f"u{i}", delay=0.05) for i in range(4)]

@@ -1,6 +1,6 @@
 """Byte-exact golden-replay equivalence for the event hot path.
 
-The dispatch-index / timer-wheel / batched-delivery refactor is only
+The dispatch-index / scheduler-queue / batched-delivery refactors are only
 admissible because these tests hold: for every (protocol, seed) cell of
 the pinned matrix, a seeded run of the paper's 5-node chain under a
 fault plan serialises to *exactly* the bytes frozen in ``tests/golden/``

@@ -81,6 +81,15 @@ class TestSelection:
         sim.run(5.0)
         assert set(mpr_of(kits[ids[1]]).selectors()) == {ids[0], ids[2]}
 
+    def test_is_selector_matches_active_selectors(self):
+        state = MprState()
+        state.note_selector(4, until=2.0)
+        state.note_selector(9, until=5.0)
+        for now in (0.0, 1.999, 2.0, 4.0, 5.0, 6.0):
+            active = state.active_selectors(now)
+            for neighbour in (4, 9, 12):
+                assert state.is_selector(neighbour, now) == (neighbour in active)
+
     def test_star_topology_hub_is_sole_mpr(self):
         ids = [1, 2, 3, 4, 5]
         star = [(1, i) for i in ids[1:]]

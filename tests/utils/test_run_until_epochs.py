@@ -4,9 +4,9 @@ The sharded orchestrator (:mod:`repro.sim.sharded`) slices a phase into
 epochs: every epoch but the last runs ``inclusive=False`` and the final
 one ``inclusive=True``.  These tests pin the property that makes the
 slicing sound: an event stamped exactly on a barrier — including
-barriers sitting on timer-wheel slot edges — fires on the same side of
-it as in one unsliced ``run_until``, so the cut points are invisible in
-the executed sequence.
+barriers on 50 ms slot edges, where the scheduler once switched queue
+structures — fires on the same side of it as in one unsliced
+``run_until``, so the cut points are invisible in the executed sequence.
 
 Also pins the ``max_events`` truncation contract: a tripped budget must
 NOT advance the clock past the stranded events (the old behaviour
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.network import Simulation
-from repro.utils.scheduler import WHEEL_GRANULARITY, Scheduler
+from repro.utils.scheduler import Scheduler
 
 
 def _schedule(scheduler, times, fired):
@@ -65,10 +65,10 @@ class TestEpochBoundaries:
         assert fired == ["edge"]
 
     def test_barrier_on_wheel_slot_edge(self):
-        # An event on an exact wheel-slot edge (multiples of the wheel
-        # granularity route through the timer wheel) must respect the
-        # exclusive barrier exactly like a heap event.
-        edge = WHEEL_GRANULARITY * 4
+        # An event on an exact 50 ms slot edge (the scheduler's former
+        # timer-wheel granularity) must respect the exclusive barrier
+        # exactly like any other event.
+        edge = 0.05 * 4
         times = [edge - 0.001, edge, edge + 0.001]
         sliced = _run_sliced(times, [edge], edge + 1.0)
         whole = _run_whole(times, edge + 1.0)
@@ -87,9 +87,8 @@ class TestEpochBoundaries:
     )
     @settings(max_examples=60, deadline=None)
     def test_epoch_slicing_is_invisible(self, raw_times, raw_barriers):
-        # The 0.013 quantum spreads events over both scheduler backends
-        # (delays under one wheel bucket stay on the heap) and makes
-        # exact time==barrier collisions common.
+        # The 0.013 quantum mixes sub-50 ms gaps with longer ones and
+        # makes exact time==barrier collisions common.
         times = [t * 0.013 for t in raw_times]
         barriers = sorted({b * 0.013 for b in raw_barriers})
         final = barriers[-1]
